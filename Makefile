@@ -4,13 +4,15 @@
 # race detector with GOMAXPROCS=4 so the parallel sort/semisort/scan paths
 # — and the parallel pulled-chunk wave scans (TestPulledScanMultiWorker's
 # seeded skewed batch) — actually run multi-worker (a 1-core CI would
-# otherwise never exercise them).
+# otherwise never exercise them). It also vets and tests the perfbench
+# module, so an internal API change that breaks the benchmark's build
+# fails here.
 
 GO ?= go
 
-.PHONY: ci build vet test race bench bench-json smoke profile
+.PHONY: ci build vet test race perfbench bench bench-json smoke profile
 
-ci: build vet race smoke
+ci: build vet race perfbench smoke
 
 build:
 	$(GO) build ./...
@@ -27,13 +29,19 @@ test:
 race:
 	GOMAXPROCS=4 $(GO) test -race ./...
 
+# The benchmark is its own module (perfbench/go.mod) and is not reached
+# by ./... from the root.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # CLI smoke tests: the trace exporters must emit parseable output
 # (Chrome trace-event JSON with events, and valid JSONL); the admin server
 # must come up with the flight recorder armed, pass its readiness probe
 # (/readyz, which gates on the published index, not just liveness), serve
 # a lint-clean Prometheus exposition, both flight snapshots, the
 # slow-request capture and a valid SLO snapshot, and — on SIGTERM — drain
-# gracefully and flush valid flight + slow-request dumps whose analyze
+# gracefully and flush flight + slow-request dumps that pass
+# `checkjson -flight` and whose analyze
 # reports (critical-path and -requests stage attribution) are
 # byte-identical across GOMAXPROCS; the concurrent serving engine must
 # absorb parallel HTTP+TCP clients (pimzd-loadgen, which itself gates on
@@ -82,6 +90,7 @@ smoke:
 	WRC=$$?; test $$RC -eq 0 && test $$WRC -eq 0
 	$(GO) run ./tools/checkjson -promtext .smoke/metrics.txt
 	$(GO) run ./tools/checkjson -flight .smoke/flight.json
+	$(GO) run ./tools/checkjson -flight .smoke/requests.json
 	$(GO) run ./tools/checkjson -slo .smoke/slo.json
 	GOMAXPROCS=1 ./.smoke/pimzd-trace analyze .smoke/flight.json > .smoke/an1.txt
 	GOMAXPROCS=4 ./.smoke/pimzd-trace analyze .smoke/flight.json > .smoke/an4.txt
@@ -112,6 +121,7 @@ smoke:
 	test $$MRC -eq 0 && test $$LRC -eq 0 && test $$GRC -eq 0 && \
 	test $$SRC -eq 0 && test $$ORC -eq 0 && test $$WRC -eq 0
 	$(GO) run ./tools/checkjson -promtext .smoke/serve-metrics.txt
+	$(GO) run ./tools/checkjson -flight .smoke/load-requests.json
 	$(GO) run ./tools/checkjson -slo .smoke/load-slo.json
 	./.smoke/pimzd-serve -addr 127.0.0.1:0 -port-file .smoke/sport \
 		-trees 4 -n 20000 -batch 1000 -p 128 -iters 10 -duration 60s & \

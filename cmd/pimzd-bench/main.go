@@ -163,14 +163,7 @@ func main() {
 		if flight == nil {
 			return
 		}
-		fd, err := os.Create(*flightOut)
-		if err == nil {
-			err = flight.WriteJSON(fd)
-			if cerr := fd.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := obs.WriteDumpFile(*flightOut, flight.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "flight-out: %v\n", err)
 			os.Exit(1)
 		}

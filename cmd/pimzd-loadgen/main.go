@@ -51,6 +51,7 @@ import (
 	"pimzdtree/internal/geom"
 	"pimzdtree/internal/morton"
 	"pimzdtree/internal/serve"
+	"pimzdtree/internal/stats"
 	"pimzdtree/internal/workload"
 )
 
@@ -268,8 +269,8 @@ func main() {
 		dataset  = flag.String("dataset", "uniform", "point pool shape: uniform, cosmos, osm (match the server for hits)")
 		n        = flag.Int("n", 200_000, "point pool size (match the server's -n for search hits)")
 		seed     = flag.Int64("seed", 42, "pool + op mix seed (match the server's -seed)")
-		mix      = flag.String("mix", "search=70,insert=15,delete=5,knn=8,box=2", "op weights")
-		k        = flag.Int("k", 8, "k for knn requests")
+		mix      = flag.String("mix", serve.DefaultMix().String(), "op weights")
+		k        = flag.Int("k", serve.DefaultMix().K, "k for knn requests (>= 1 when the mix has a knn weight)")
 		zipf     = flag.Float64("zipf", 0, "Zipfian query-key skew exponent (> 1; 0 = uniform). Ranks the pool by Morton key, so hot keys concentrate on the low-prefix shard of a -trees server")
 		readyFor = flag.Duration("ready-timeout", 30*time.Second, "wait this long for the target's /readyz before starting (0 = skip the readiness check)")
 	)
@@ -291,7 +292,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown dataset %q\n", *dataset)
 		os.Exit(2)
 	}
-	opMix, err := parseMix(*mix, *k)
+	opMix, err := serve.ParseMix(*mix, *k)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "pimzd-loadgen: %v\n", err)
 		os.Exit(2)
@@ -334,7 +335,7 @@ func main() {
 	}
 	nHTTP := *workers - nTCP
 
-	stats := make([]workerStats, *workers)
+	tallies := make([]workerStats, *workers)
 	var wg sync.WaitGroup
 	start := time.Now()
 	stopAt := start.Add(*duration)
@@ -348,8 +349,8 @@ func main() {
 			} else {
 				tc, err := serve.DialTCP(*tcpAddr, uint8(*dims))
 				if err != nil {
-					stats[w].errs++
-					stats[w].lastErr = err.Error()
+					tallies[w].errs++
+					tallies[w].lastErr = err.Error()
 					return
 				}
 				cl = &tcpClient{c: tc}
@@ -379,7 +380,7 @@ func main() {
 					}
 					next = next.Add(interval)
 				}
-				r := makeRequest(opMix, rng, pick, boxes)
+				r := opMix.Request(rng, 1, pick, boxes)
 				// Nonzero per-worker IDs make the server echo the stage
 				// decomposition and make outliers greppable in its
 				// /snapshot/slowrequests capture.
@@ -388,17 +389,17 @@ func main() {
 				shed, err := cl.do(r)
 				switch {
 				case err != nil:
-					stats[w].errs++
-					stats[w].lastErr = err.Error()
+					tallies[w].errs++
+					tallies[w].lastErr = err.Error()
 					if _, ok := cl.(*tcpClient); ok {
 						return // transport errors poison the TCP connection
 					}
 				case shed:
-					stats[w].shed++
+					tallies[w].shed++
 				default:
-					stats[w].completed++
-					stats[w].latencies = append(stats[w].latencies, time.Since(t0).Seconds())
-					stats[w].note(r)
+					tallies[w].completed++
+					tallies[w].latencies = append(tallies[w].latencies, time.Since(t0).Seconds())
+					tallies[w].note(r)
 				}
 			}
 		}(w)
@@ -409,7 +410,7 @@ func main() {
 	rep := report{Workers: *workers, HTTPWorkers: nHTTP, TCPWorkers: nTCP, Seconds: elapsed}
 	var all []float64
 	merged := map[string]*stageAgg{}
-	for _, s := range stats {
+	for _, s := range tallies {
 		rep.Completed += s.completed
 		rep.Shed += s.shed
 		rep.Errors += s.errs
@@ -443,13 +444,9 @@ func main() {
 	}
 	rep.AchievedRPS = float64(rep.Completed) / elapsed
 	sort.Float64s(all)
-	q := func(p float64) float64 {
-		if len(all) == 0 {
-			return 0
-		}
-		return all[int(p*float64(len(all)-1))]
-	}
-	rep.P50, rep.P99, rep.P999 = q(0.50), q(0.99), q(0.999)
+	rep.P50 = stats.Quantile(all, 0.50)
+	rep.P99 = stats.Quantile(all, 0.99)
+	rep.P999 = stats.Quantile(all, 0.999)
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
@@ -457,70 +454,4 @@ func main() {
 	if rep.Errors > 0 {
 		os.Exit(1)
 	}
-}
-
-// loadMix is a parsed op-weight table.
-type loadMix struct {
-	ops     []serve.Op
-	weights []int
-	total   int
-	k       int
-}
-
-func parseMix(s string, k int) (loadMix, error) {
-	m := loadMix{k: k}
-	names := map[string]serve.Op{
-		"search": serve.OpSearch, "insert": serve.OpInsert, "delete": serve.OpDelete,
-		"knn": serve.OpKNN, "box": serve.OpBox,
-	}
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		name, val, ok := strings.Cut(part, "=")
-		if !ok {
-			return m, fmt.Errorf("bad mix entry %q (want op=weight)", part)
-		}
-		op, known := names[strings.TrimSpace(name)]
-		if !known {
-			return m, fmt.Errorf("unknown op %q in mix", name)
-		}
-		var w int
-		if _, err := fmt.Sscanf(strings.TrimSpace(val), "%d", &w); err != nil || w < 0 {
-			return m, fmt.Errorf("bad weight %q for %s", val, name)
-		}
-		m.ops = append(m.ops, op)
-		m.weights = append(m.weights, w)
-		m.total += w
-	}
-	if m.total == 0 {
-		return m, fmt.Errorf("mix has zero total weight")
-	}
-	return m, nil
-}
-
-func (m loadMix) draw(rng *rand.Rand) serve.Op {
-	n := rng.Intn(m.total)
-	for i, w := range m.weights {
-		if n -= w; n < 0 {
-			return m.ops[i]
-		}
-	}
-	return m.ops[len(m.ops)-1]
-}
-
-func makeRequest(m loadMix, rng *rand.Rand, pick func() geom.Point, boxes []geom.Box) *serve.Request {
-	op := m.draw(rng)
-	r := serve.NewRequest(op)
-	switch op {
-	case serve.OpBox:
-		r.Boxes = []geom.Box{boxes[rng.Intn(len(boxes))]}
-	case serve.OpKNN:
-		r.Pts = []geom.Point{pick()}
-		r.K = m.k
-	default:
-		r.Pts = []geom.Point{pick()}
-	}
-	return r
 }

@@ -327,18 +327,6 @@ func toInt64(in []int) []int64 {
 	return out
 }
 
-func writeFlightDump(fr *obs.FlightRecorder, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := fr.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8585", "admin+client HTTP address (host:0 for an ephemeral port)")
@@ -490,7 +478,7 @@ func main() {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := reqTracer.WriteJSON(w); err != nil {
+		if err := obs.WriteDump(w, reqTracer.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "pimzd-serve: slowrequests: %v\n", err)
 		}
 	})
@@ -765,21 +753,14 @@ func main() {
 		cancelTCP()
 	}
 	if *flightOut != "" && fr.Enabled() {
-		if err := writeFlightDump(fr, *flightOut); err != nil {
+		if err := obs.WriteDumpFile(*flightOut, fr.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "pimzd-serve: flight-out: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("pimzd-serve: flight dump written to %s\n", *flightOut)
 	}
 	if *requestsOut != "" && reqTracer.Enabled() {
-		f, err := os.Create(*requestsOut)
-		if err == nil {
-			err = reqTracer.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
+		if err := obs.WriteDumpFile(*requestsOut, reqTracer.Snapshot()); err != nil {
 			fmt.Fprintf(os.Stderr, "pimzd-serve: requests-out: %v\n", err)
 			os.Exit(1)
 		}

@@ -123,7 +123,6 @@ func main() {
 		tree = core.New(cfg, data)
 		tree.System().ResetMetrics()
 		tree.System().SetRecorder(rec)
-		tree.System().EnableTrace(0)
 	}
 	totals := func() pim.Metrics {
 		if idx != nil {
@@ -283,7 +282,7 @@ func analyzeMain(args []string) {
 		w = bw
 	}
 	if *reqs {
-		rdump, err := serve.ReadRequestDump(fd)
+		rdump, err := obs.ReadDump[serve.RequestDump](fd)
 		fd.Close()
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "analyze: parsing %s: %v\n", fs.Arg(0), err)
@@ -297,7 +296,7 @@ func analyzeMain(args []string) {
 		rdump.WriteAnalysis(w, *top)
 		return
 	}
-	dump, err := obs.ReadFlightDump(fd)
+	dump, err := obs.ReadDump[obs.FlightDump](fd)
 	fd.Close()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "analyze: parsing %s: %v\n", fs.Arg(0), err)

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"pimzdtree/internal/geom"
-	"pimzdtree/internal/pim"
+	"pimzdtree/internal/obs"
 )
 
 // Unit tests for the internal mechanisms: lazy-counter windows, pull
@@ -260,19 +260,19 @@ func TestLoadBalanceWithLargeBatches(t *testing.T) {
 	// Batch >= P log P * small constant.
 	batch := randPoints(rng, 16*p*6, 3, 1<<20)
 
-	tr.System().EnableTrace(0)
+	rec := obs.New()
+	tr.System().SetRecorder(rec)
 	tr.Search(batch)
-	trace := tr.System().Trace()
-	if len(trace) == 0 {
-		t.Fatal("no rounds traced")
-	}
 	// Find the main push round (the one touching the most modules with
 	// real work).
-	var push pim.TraceEntry
-	for _, e := range trace {
-		if e.TotalCycles > push.TotalCycles {
-			push = e
+	var push obs.RoundInfo
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindRound && e.Round.TotalCycles > push.TotalCycles {
+			push = *e.Round
 		}
+	}
+	if push.TotalCycles == 0 {
+		t.Fatal("no rounds recorded")
 	}
 	if push.ActiveModules < p/2 {
 		t.Fatalf("push round touched only %d of %d modules", push.ActiveModules, p)

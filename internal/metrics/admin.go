@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -223,9 +222,7 @@ func NewModuleSnapshot(cycles, bytes []int64) ModuleSnapshot {
 
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := obs.WriteDump(w, v); err != nil {
 		fmt.Fprintf(os.Stderr, "metrics: snapshot: %v\n", err)
 	}
 }

@@ -1,11 +1,12 @@
 package metrics
 
 import (
-	"encoding/json"
 	"io"
 	"sort"
 	"sync"
 	"time"
+
+	"pimzdtree/internal/obs"
 )
 
 // SLO tracking: per-op latency objectives evaluated over rolling
@@ -272,17 +273,7 @@ func (t *SLOTracker) PublishGauges() {
 
 // WriteJSON writes the snapshot as indented JSON — the /snapshot/slo
 // document `checkjson -slo` validates.
-func (t *SLOTracker) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(t.Snapshot())
-}
+func (t *SLOTracker) WriteJSON(w io.Writer) error { return obs.WriteDump(w, t.Snapshot()) }
 
 // ReadSLOSnapshot parses a /snapshot/slo JSON document.
-func ReadSLOSnapshot(r io.Reader) (*SLOSnapshot, error) {
-	var s SLOSnapshot
-	if err := json.NewDecoder(r).Decode(&s); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
+func ReadSLOSnapshot(r io.Reader) (*SLOSnapshot, error) { return obs.ReadDump[SLOSnapshot](r) }

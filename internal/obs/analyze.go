@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"pimzdtree/internal/stats"
 )
 
 // Critical-path analysis of a flight-recorder dump: the post-hoc view of
@@ -78,9 +80,12 @@ func (d *FlightDump) WriteAnalysis(w io.Writer, topN int) {
 		"p50 pim", "p99 pim", "p50 comm", "p99 comm", "critical")
 	for _, name := range opNames {
 		a := byOp[name]
-		cpu99 := quantileF(a.cpu, 0.99)
-		pim99 := quantileF(a.pim, 0.99)
-		comm99 := quantileF(a.comm, 0.99)
+		for _, v := range [][]float64{a.total, a.cpu, a.pim, a.comm} {
+			sort.Float64s(v)
+		}
+		cpu99 := stats.Quantile(a.cpu, 0.99)
+		pim99 := stats.Quantile(a.pim, 0.99)
+		comm99 := stats.Quantile(a.comm, 0.99)
 		// Critical component: largest p99 contribution; exact ties keep the
 		// earlier of cpu < pim < comm, so the column is deterministic.
 		critical, best := "cpu", cpu99
@@ -92,10 +97,10 @@ func (d *FlightDump) WriteAnalysis(w io.Writer, topN int) {
 		}
 		fmt.Fprintf(w, "%-12s  %5d  %10.2f  %10.2f  %9.2f  %9.2f  %9.2f  %9.2f  %9.2f  %9.2f  %-8s\n",
 			name, len(a.total),
-			quantileF(a.total, 0.50)*1e6, quantileF(a.total, 0.99)*1e6,
-			quantileF(a.cpu, 0.50)*1e6, cpu99*1e6,
-			quantileF(a.pim, 0.50)*1e6, pim99*1e6,
-			quantileF(a.comm, 0.50)*1e6, comm99*1e6,
+			stats.Quantile(a.total, 0.50)*1e6, stats.Quantile(a.total, 0.99)*1e6,
+			stats.Quantile(a.cpu, 0.50)*1e6, cpu99*1e6,
+			stats.Quantile(a.pim, 0.50)*1e6, pim99*1e6,
+			stats.Quantile(a.comm, 0.50)*1e6, comm99*1e6,
 			critical)
 	}
 
@@ -170,22 +175,4 @@ func (d *FlightDump) uniqueRecords() []OpRecord {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Trace < out[j].Trace })
 	return out
-}
-
-// quantileF is the nearest-rank quantile over an unsorted float vector,
-// matching the integer quantile() convention of profile.go.
-func quantileF(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	i := int(q*float64(len(sorted)) + 0.5)
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
 }

@@ -215,8 +215,8 @@ func (r *Recorder) WriteSpanTree(w io.Writer) {
 	}
 }
 
-// WriteRounds renders the per-round table — the successor of the legacy
-// flat trace, now carrying each round's op/phase attribution.
+// WriteRounds renders the per-round table with each round's op/phase
+// attribution.
 func (r *Recorder) WriteRounds(w io.Writer) {
 	fmt.Fprintf(w, "%5s  %-12s  %-14s  %7s  %10s  %12s  %10s  %10s  %9s  %5s\n",
 		"round", "op", "phase", "modules", "max cyc", "total cyc",

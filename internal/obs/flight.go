@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 	"time"
 )
@@ -134,8 +132,8 @@ type FlightRecorder struct {
 	dropped  int64
 	ring     []OpRecord // capacity cfg.Ring; slots reuse round slices
 	ringLen  int
-	ringNext int // slot the next record lands in
-	slow     []OpRecord
+	ringNext int            // slot the next record lands in
+	slow     TopK[OpRecord] // slots reuse round slices
 
 	// In-flight scratch, written only by the owning Recorder (under its
 	// lock). Round slices and straggler-count lanes are reused, so the
@@ -154,6 +152,7 @@ func NewFlightRecorder(cfg FlightConfig) *FlightRecorder {
 	return &FlightRecorder{
 		cfg:  cfg,
 		ring: make([]OpRecord, cfg.Ring),
+		slow: NewTopK[OpRecord](cfg.SlowK),
 	}
 }
 
@@ -265,33 +264,18 @@ func (f *FlightRecorder) endOp(breakdown Breakdown, rounds int64) {
 // publishRing copies the record into the next ring slot, reusing the
 // slot's round slice and capping detail at RingRounds; caller holds f.mu.
 func (f *FlightRecorder) publishRing(rec OpRecord) {
-	slot := &f.ring[f.ringNext]
 	detail := f.curRounds
-	truncated := rec.Truncated
 	if len(detail) > f.cfg.RingRounds {
 		detail = detail[:f.cfg.RingRounds]
-		truncated = true
+		rec.Truncated = true
 	}
-	rounds := slot.RoundDetail
-	*slot = rec
-	slot.RoundDetail = append(rounds[:0], detail...)
-	slot.Truncated = truncated
+	storeRecord(&f.ring[f.ringNext], rec, detail)
 	f.ringNext = (f.ringNext + 1) % len(f.ring)
 	if f.ringLen < len(f.ring) {
 		f.ringLen++
 	} else {
 		f.dropped++
 	}
-}
-
-// slowKey is the latency the slow-op capturer ranks by: wall time when a
-// wall threshold is configured (the operator's view), modeled time
-// otherwise (the deterministic view).
-func (f *FlightRecorder) slowKey(rec *OpRecord) float64 {
-	if f.cfg.SlowWallSeconds > 0 {
-		return rec.WallSeconds
-	}
-	return rec.ModeledSeconds()
 }
 
 // qualifiesSlow applies the capture rule: any configured threshold reached,
@@ -306,33 +290,28 @@ func (f *FlightRecorder) qualifiesSlow(rec *OpRecord) bool {
 	return f.cfg.SlowWallSeconds == 0 && f.cfg.SlowModeledSeconds == 0
 }
 
-// publishSlow retains the record in the top-K slow set with full round
-// detail; caller holds f.mu.
+// publishSlow offers the record to the top-K slow set, which keeps full
+// round detail. It ranks by wall time when a wall threshold is configured
+// (the operator's view), modeled time otherwise (the deterministic view);
+// caller holds f.mu.
 func (f *FlightRecorder) publishSlow(rec OpRecord) {
 	if !f.qualifiesSlow(&rec) {
 		return
 	}
-	if len(f.slow) < f.cfg.SlowK {
-		stored := rec
-		stored.RoundDetail = append([]FlightRound(nil), f.curRounds...)
-		f.slow = append(f.slow, stored)
-		return
+	cost := rec.ModeledSeconds()
+	if f.cfg.SlowWallSeconds > 0 {
+		cost = rec.WallSeconds
 	}
-	// Evict the cheapest retained record if the newcomer is slower; ties
-	// keep the incumbent (earlier trace), so a stream of equal ops settles.
-	minI, minKey := 0, f.slowKey(&f.slow[0])
-	for i := 1; i < len(f.slow); i++ {
-		if k := f.slowKey(&f.slow[i]); k < minKey {
-			minI, minKey = i, k
-		}
+	if slot := f.slow.Offer(cost, rec.Trace); slot != nil {
+		storeRecord(slot, rec, f.curRounds)
 	}
-	if f.slowKey(&rec) <= minKey {
-		return
-	}
-	slot := &f.slow[minI]
-	rounds := slot.RoundDetail
+}
+
+// storeRecord overwrites a ring or slow-set slot with rec and a copy of
+// detail, reusing the round-detail capacity the slot already holds.
+func storeRecord(slot *OpRecord, rec OpRecord, detail []FlightRound) {
+	rec.RoundDetail = append(slot.RoundDetail[:0], detail...)
 	*slot = rec
-	slot.RoundDetail = append(rounds[:0], f.curRounds...)
 }
 
 // LastTrace returns the most recently assigned trace ID (0 before any op).
@@ -358,18 +337,15 @@ func (f *FlightRecorder) Snapshot() FlightDump {
 		Captured: f.captured,
 		Dropped:  f.dropped,
 		Ring:     make([]OpRecord, 0, f.ringLen),
-		Slow:     copyRecords(f.slow),
+		Slow:     f.slow.Snapshot(cloneRecord),
 	}
 	start := f.ringNext - f.ringLen
 	if start < 0 {
 		start += len(f.ring)
 	}
 	for i := 0; i < f.ringLen; i++ {
-		src := f.ring[(start+i)%len(f.ring)]
-		src.RoundDetail = append([]FlightRound(nil), src.RoundDetail...)
-		d.Ring = append(d.Ring, src)
+		d.Ring = append(d.Ring, cloneRecord(f.ring[(start+i)%len(f.ring)]))
 	}
-	sortSlow(d.Slow, f.slowKey)
 	return d
 }
 
@@ -380,49 +356,11 @@ func (f *FlightRecorder) SlowOps() []OpRecord {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := copyRecords(f.slow)
-	sortSlow(out, f.slowKey)
-	return out
+	return f.slow.Snapshot(cloneRecord)
 }
 
-func copyRecords(recs []OpRecord) []OpRecord {
-	out := make([]OpRecord, len(recs))
-	for i, r := range recs {
-		r.RoundDetail = append([]FlightRound(nil), r.RoundDetail...)
-		out[i] = r
-	}
-	return out
-}
-
-// sortSlow orders records by descending latency key, ties by ascending
-// trace ID — a total order, so snapshots are reproducible.
-func sortSlow(recs []OpRecord, key func(*OpRecord) float64) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &recs[j-1], &recs[j]
-			if key(a) > key(b) || (key(a) == key(b) && a.Trace < b.Trace) {
-				break
-			}
-			recs[j-1], recs[j] = recs[j], recs[j-1]
-		}
-	}
-}
-
-// WriteJSON writes the dump as indented JSON — the on-disk flight-recorder
-// format `pimzd-trace analyze` and `checkjson -flight` read.
-func (f *FlightRecorder) WriteJSON(w io.Writer) error {
-	d := f.Snapshot()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// ReadFlightDump parses a flight-recorder JSON dump.
-func ReadFlightDump(r io.Reader) (*FlightDump, error) {
-	var d FlightDump
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&d); err != nil {
-		return nil, err
-	}
-	return &d, nil
+// cloneRecord deep-copies a record out of its reused slot.
+func cloneRecord(r OpRecord) OpRecord {
+	r.RoundDetail = append([]FlightRound(nil), r.RoundDetail...)
+	return r
 }

@@ -211,12 +211,12 @@ func TestFlightDumpRoundTrip(t *testing.T) {
 	runOp(rec, "search", [2]int64{10, 1})
 	runOp(rec, "knn", [2]int64{20, 2}, [2]int64{30, 2})
 	var buf bytes.Buffer
-	if err := f.WriteJSON(&buf); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
+	if err := WriteDump(&buf, f.Snapshot()); err != nil {
+		t.Fatalf("WriteDump: %v", err)
 	}
-	d, err := ReadFlightDump(bytes.NewReader(buf.Bytes()))
+	d, err := ReadDump[FlightDump](bytes.NewReader(buf.Bytes()))
 	if err != nil {
-		t.Fatalf("ReadFlightDump: %v", err)
+		t.Fatalf("ReadDump: %v", err)
 	}
 	if d.Format != FlightDumpFormat {
 		t.Fatalf("format = %q", d.Format)

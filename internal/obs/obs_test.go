@@ -147,7 +147,8 @@ func TestLoadProfileQuantiles(t *testing.T) {
 	if da != db {
 		t.Fatalf("dist depends on order: %+v vs %+v", da, db)
 	}
-	if da.Max != 9 || da.Mean != 5 || da.P50 != 7 {
+	// Nearest rank: the P50 of five values is the third, ⌈0.5·5⌉ = 3.
+	if da.Max != 9 || da.Mean != 5 || da.P50 != 5 || da.P99 != 9 {
 		t.Fatalf("dist = %+v", da)
 	}
 

@@ -1,10 +1,14 @@
 package obs
 
-import "sort"
+import (
+	"sort"
+
+	"pimzdtree/internal/stats"
+)
 
 // Dist summarizes a per-module load distribution. Quantiles use the
-// nearest-rank method over the active modules only (idle modules are not
-// part of the round).
+// nearest-rank rule of stats.Quantile over the active modules only (idle
+// modules are not part of the round).
 type Dist struct {
 	P50  int64
 	P99  int64
@@ -54,24 +58,9 @@ func newDist(loads []int64) Dist {
 		total += l
 	}
 	return Dist{
-		P50:  quantile(sorted, 0.50),
-		P99:  quantile(sorted, 0.99),
+		P50:  stats.Quantile(sorted, 0.50),
+		P99:  stats.Quantile(sorted, 0.99),
 		Max:  sorted[len(sorted)-1],
 		Mean: float64(total) / float64(len(sorted)),
 	}
-}
-
-// quantile returns the nearest-rank q-quantile of a sorted vector.
-func quantile(sorted []int64, q float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q*float64(len(sorted)) + 0.5)
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
 }

@@ -116,7 +116,6 @@ type System struct {
 
 	mu      sync.Mutex
 	metrics Metrics
-	trace   tracer
 
 	// Cumulative per-module loads (nil until EnableModuleLoadStats) — the
 	// whole-run Fig. 7 skew picture, served live by the admin endpoints.
@@ -232,7 +231,6 @@ func (s *System) Round(active []int, handler func(m *Module)) RoundStats {
 	s.metrics.PIMSeconds += pimSec
 	s.metrics.CommSeconds += st.Seconds - pimSec
 	s.mu.Unlock()
-	s.recordTrace(st)
 	if rec := s.recorder; rec.Enabled() {
 		rec.RecordRound(obs.RoundInfo{
 			ActiveModules: st.ActiveModules,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pimzdtree/internal/costmodel"
+	"pimzdtree/internal/obs"
 )
 
 func newTestSystem(p int) *System {
@@ -276,60 +277,102 @@ func TestModulesIsolatedAcrossHandlers(t *testing.T) {
 	}
 }
 
+// tracedSystem returns a test system reporting its rounds to a fresh
+// recorder.
+func tracedSystem(p int) (*System, *obs.Recorder) {
+	s := newTestSystem(p)
+	rec := obs.New()
+	s.SetRecorder(rec)
+	return s, rec
+}
+
+// recordedRounds returns the round payloads of the recorder's retained
+// events, in execution order.
+func recordedRounds(rec *obs.Recorder) []obs.RoundInfo {
+	var out []obs.RoundInfo
+	for _, e := range rec.Events() {
+		if e.Kind == obs.KindRound {
+			out = append(out, *e.Round)
+		}
+	}
+	return out
+}
+
 func TestTraceRecordsRounds(t *testing.T) {
-	s := newTestSystem(8)
-	s.EnableTrace(0)
+	s, rec := tracedSystem(8)
 	s.Round([]int{0, 1}, func(m *Module) { m.Work(10); m.Recv(4); m.Send(2) })
 	s.Round([]int{2}, func(m *Module) { m.Work(5) })
-	tr := s.Trace()
+	tr := recordedRounds(rec)
 	if len(tr) != 2 {
-		t.Fatalf("trace has %d entries", len(tr))
+		t.Fatalf("recorder has %d rounds", len(tr))
 	}
 	if tr[0].Seq != 1 || tr[1].Seq != 2 {
 		t.Fatal("sequence numbers wrong")
 	}
 	if tr[0].ActiveModules != 2 || tr[0].MaxCycles != 10 || tr[0].BytesToPIM != 8 {
-		t.Fatalf("entry 0 = %+v", tr[0])
+		t.Fatalf("round 0 = %+v", tr[0])
 	}
-	s.DisableTrace()
+	s.SetRecorder(nil)
 	s.Round([]int{0}, func(m *Module) {})
-	if len(s.Trace()) != 2 {
-		t.Fatal("disabled trace still recording")
+	if len(recordedRounds(rec)) != 2 {
+		t.Fatal("detached recorder still recording")
 	}
 }
 
-func TestTraceLimit(t *testing.T) {
-	s := newTestSystem(4)
-	s.EnableTrace(3)
-	for i := 0; i < 10; i++ {
-		s.Round([]int{0}, func(m *Module) { m.Work(int64(i)) })
+func TestTraceUnlimitedKeepsAll(t *testing.T) {
+	s, rec := tracedSystem(4)
+	for i := 0; i < 50; i++ {
+		s.Round([]int{0}, func(m *Module) {})
 	}
-	tr := s.Trace()
-	if len(tr) != 3 {
-		t.Fatalf("trace has %d entries, want 3", len(tr))
+	tr := recordedRounds(rec)
+	if len(tr) != 50 {
+		t.Fatalf("recorder has %d rounds, want 50", len(tr))
 	}
-	if tr[2].Seq != 10 {
-		t.Fatalf("last entry seq = %d, want 10", tr[2].Seq)
+	for i, e := range tr {
+		if e.Seq != int64(i+1) {
+			t.Fatalf("round %d seq = %d", i, e.Seq)
+		}
 	}
 }
 
 func TestTraceUtilization(t *testing.T) {
-	e := TraceEntry{ActiveModules: 4, MaxCycles: 100, TotalCycles: 200}
-	if u := e.Utilization(); u != 0.5 {
+	s, rec := tracedSystem(4)
+	loads := []int64{100, 50, 25, 25}
+	s.Round(s.AllModules(), func(m *Module) { m.Work(loads[m.ID]) })
+	tr := recordedRounds(rec)
+	if len(tr) != 1 {
+		t.Fatalf("recorder has %d rounds", len(tr))
+	}
+	if u := tr[0].Utilization(); u != 0.5 {
 		t.Fatalf("utilization = %f", u)
 	}
-	if (TraceEntry{}).Utilization() != 0 {
-		t.Fatal("zero entry utilization")
+}
+
+func TestTraceUtilizationEdgeCases(t *testing.T) {
+	cases := []struct {
+		name string
+		ri   obs.RoundInfo
+		want float64
+	}{
+		{"zero max cycles", obs.RoundInfo{ActiveModules: 4, MaxCycles: 0, TotalCycles: 0}, 0},
+		{"zero modules", obs.RoundInfo{ActiveModules: 0, MaxCycles: 10, TotalCycles: 10}, 0},
+		{"both zero", obs.RoundInfo{}, 0},
+		{"perfect balance", obs.RoundInfo{ActiveModules: 2, MaxCycles: 5, TotalCycles: 10}, 1},
+		{"single module", obs.RoundInfo{ActiveModules: 1, MaxCycles: 7, TotalCycles: 7}, 1},
+	}
+	for _, tc := range cases {
+		if got := tc.ri.Utilization(); got != tc.want {
+			t.Errorf("%s: utilization = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestWriteTrace(t *testing.T) {
-	s := newTestSystem(4)
-	s.EnableTrace(0)
+	s, rec := tracedSystem(4)
 	s.Round([]int{0}, func(m *Module) { m.Work(7) })
 	var buf strings.Builder
-	s.WriteTrace(&buf)
+	rec.WriteRounds(&buf)
 	if !strings.Contains(buf.String(), "round") || !strings.Contains(buf.String(), "7") {
-		t.Fatalf("trace output missing content:\n%s", buf.String())
+		t.Fatalf("round table missing content:\n%s", buf.String())
 	}
 }

@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
+	"strings"
 	"time"
 
 	"pimzdtree/internal/geom"
+	"pimzdtree/internal/stats"
 )
 
 // Open-loop saturation load generator. Arrivals follow a Poisson process
@@ -28,24 +32,106 @@ func DefaultMix() OpMix {
 	return OpMix{SearchW: 70, InsertW: 15, DeleteW: 5, KNNW: 8, BoxW: 2, K: 8}
 }
 
-func (m OpMix) total() int { return m.SearchW + m.InsertW + m.DeleteW + m.KNNW + m.BoxW }
+// mixOps lists the ops an OpMix weights, in draw and String order.
+var mixOps = [...]Op{OpSearch, OpInsert, OpDelete, OpKNN, OpBox}
+
+// weights returns the weight fields, index-aligned with mixOps.
+func (m *OpMix) weights() [len(mixOps)]*int {
+	return [...]*int{&m.SearchW, &m.InsertW, &m.DeleteW, &m.KNNW, &m.BoxW}
+}
+
+func (m OpMix) total() int {
+	t := 0
+	for _, w := range m.weights() {
+		t += *w
+	}
+	return t
+}
+
+// String renders the weights in ParseMix syntax, e.g.
+// "search=70,insert=15,delete=5,knn=8,box=2".
+func (m OpMix) String() string {
+	parts := make([]string, len(mixOps))
+	for i, w := range m.weights() {
+		parts[i] = fmt.Sprintf("%s=%d", mixOps[i], *w)
+	}
+	return strings.Join(parts, ",")
+}
+
+// ParseMix parses comma-separated op=weight entries (ops: search, insert,
+// delete, knn, box) into a mix whose kNN requests ask for k neighbors.
+// Unlisted ops weigh zero and a repeated op adds up. It rejects malformed
+// entries, unknown ops, negative weights, a zero total, and a kNN weight
+// with k < 1 (every such request would be refused as a bad request).
+func ParseMix(s string, k int) (OpMix, error) {
+	m := OpMix{K: k}
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		if part == "" {
+			continue
+		}
+		name, val, ok := strings.Cut(part, "=")
+		if !ok {
+			return m, fmt.Errorf("bad mix entry %q (want op=weight)", part)
+		}
+		name = strings.TrimSpace(name)
+		var w *int
+		for i, op := range mixOps {
+			if op.String() == name {
+				w = m.weights()[i]
+			}
+		}
+		if w == nil {
+			return m, fmt.Errorf("unknown op %q in mix", name)
+		}
+		n, err := strconv.Atoi(strings.TrimSpace(val))
+		if err != nil || n < 0 {
+			return m, fmt.Errorf("bad weight %q for %s", val, name)
+		}
+		*w += n
+	}
+	if m.total() == 0 {
+		return m, fmt.Errorf("mix has zero total weight")
+	}
+	if m.KNNW > 0 && m.K < 1 {
+		return m, fmt.Errorf("mix has a knn weight but k=%d (want k >= 1)", m.K)
+	}
+	return m, nil
+}
 
 // draw picks an op by weight.
 func (m OpMix) draw(rng *rand.Rand) Op {
 	n := rng.Intn(m.total())
-	if n -= m.SearchW; n < 0 {
-		return OpSearch
-	}
-	if n -= m.InsertW; n < 0 {
-		return OpInsert
-	}
-	if n -= m.DeleteW; n < 0 {
-		return OpDelete
-	}
-	if n -= m.KNNW; n < 0 {
-		return OpKNN
+	for i, w := range m.weights() {
+		if n -= *w; n < 0 {
+			return mixOps[i]
+		}
 	}
 	return OpBox
+}
+
+// Request draws one request: an op by weight, then for a box op one box
+// from boxes (a search instead when boxes is empty), otherwise batch
+// points from pick, with K set for kNN. pick is the caller's key
+// distribution (uniform or skewed over its point pool).
+func (m OpMix) Request(rng *rand.Rand, batch int, pick func() geom.Point, boxes []geom.Box) *Request {
+	op := m.draw(rng)
+	if op == OpBox && len(boxes) == 0 {
+		op = OpSearch
+	}
+	r := NewRequest(op)
+	if op == OpBox {
+		r.Boxes = []geom.Box{boxes[rng.Intn(len(boxes))]}
+		return r
+	}
+	r.Pts = make([]geom.Point, batch)
+	for i := range r.Pts {
+		r.Pts[i] = pick()
+	}
+	if op == OpKNN {
+		r.K = m.K
+	}
+	return r
 }
 
 // SaturationConfig parameterizes one sweep.
@@ -108,6 +194,9 @@ func RunSaturation(cfg SaturationConfig) SaturationReport {
 	if cfg.Mix.total() == 0 {
 		cfg.Mix = DefaultMix()
 	}
+	if cfg.Mix.K <= 0 {
+		cfg.Mix.K = DefaultMix().K
+	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 1
 	}
@@ -127,6 +216,7 @@ func RunSaturation(cfg SaturationConfig) SaturationReport {
 // never delays arrivals.
 func runStep(cfg SaturationConfig, rps float64, seed int64) LoadPoint {
 	rng := rand.New(rand.NewSource(seed))
+	pick := func() geom.Point { return cfg.Data[rng.Intn(len(cfg.Data))] }
 	pt := LoadPoint{OfferedRPS: rps}
 
 	pending := make(chan pendingReq, 1<<16)
@@ -156,7 +246,7 @@ func runStep(cfg SaturationConfig, rps float64, seed int64) LoadPoint {
 		if now.Before(next) {
 			time.Sleep(next.Sub(now))
 		}
-		r := makeLoadRequest(cfg, rng)
+		r := cfg.Mix.Request(rng, cfg.BatchSize, pick, cfg.Boxes)
 		submitAt := time.Now()
 		if err := cfg.Engine.Submit(r); err != nil {
 			pt.Shed++
@@ -176,41 +266,8 @@ func runStep(cfg SaturationConfig, rps float64, seed int64) LoadPoint {
 	pt.Errors = errs
 	pt.AchievedRPS = float64(pt.Completed) / elapsed
 	sort.Float64s(latencies)
-	pt.P50 = quantile(latencies, 0.50)
-	pt.P99 = quantile(latencies, 0.99)
-	pt.P999 = quantile(latencies, 0.999)
+	pt.P50 = stats.Quantile(latencies, 0.50)
+	pt.P99 = stats.Quantile(latencies, 0.99)
+	pt.P999 = stats.Quantile(latencies, 0.999)
 	return pt
-}
-
-// makeLoadRequest draws one request from the pools.
-func makeLoadRequest(cfg SaturationConfig, rng *rand.Rand) *Request {
-	op := cfg.Mix.draw(rng)
-	if op == OpBox && len(cfg.Boxes) == 0 {
-		op = OpSearch
-	}
-	r := NewRequest(op)
-	if op == OpBox {
-		r.Boxes = []geom.Box{cfg.Boxes[rng.Intn(len(cfg.Boxes))]}
-		return r
-	}
-	r.Pts = make([]geom.Point, cfg.BatchSize)
-	for i := range r.Pts {
-		r.Pts[i] = cfg.Data[rng.Intn(len(cfg.Data))]
-	}
-	if op == OpKNN {
-		r.K = cfg.Mix.K
-		if r.K <= 0 {
-			r.K = 8
-		}
-	}
-	return r
-}
-
-// quantile reads the q-quantile from sorted samples.
-func quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	i := int(q * float64(len(sorted)-1))
-	return sorted[i]
 }

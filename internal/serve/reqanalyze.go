@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"pimzdtree/internal/stats"
 )
 
 // Stage-attribution analysis of a slow-request dump: the post-hoc view of
@@ -60,18 +62,20 @@ func (d *RequestDump) WriteAnalysis(w io.Writer, topN int) {
 	fmt.Fprintf(w, "  %-8s\n", "dominant")
 	for _, name := range opNames {
 		a := byOp[name]
+		sort.Float64s(a.total)
 		// Dominant stage: largest p99 contribution; exact ties keep the
 		// earlier pipeline stage, so the column is deterministic.
 		dom, best := 0, -1.0
 		p99 := make([]float64, len(stages))
 		for s := range stages {
-			p99[s] = reqQuantile(a.stages[s], 0.99)
+			sort.Float64s(a.stages[s])
+			p99[s] = stats.Quantile(a.stages[s], 0.99)
 			if p99[s] > best {
 				dom, best = s, p99[s]
 			}
 		}
 		fmt.Fprintf(w, "%-12s  %5d  %10.2f  %10.2f", name, len(a.total),
-			reqQuantile(a.total, 0.50)*1e6, reqQuantile(a.total, 0.99)*1e6)
+			stats.Quantile(a.total, 0.50)*1e6, stats.Quantile(a.total, 0.99)*1e6)
 		for s := range stages {
 			fmt.Fprintf(w, "  %9.2f", p99[s]*1e6)
 		}
@@ -126,22 +130,4 @@ func costliestShard(r *RequestRecord) string {
 	}
 	sp := &r.FanSpans[best]
 	return fmt.Sprintf("shard %d (%d q, %.0f us)", sp.Shard, sp.Queries, sp.WallSeconds*1e6)
-}
-
-// reqQuantile is the nearest-rank quantile over an unsorted vector,
-// matching obs.quantileF.
-func reqQuantile(vals []float64, q float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), vals...)
-	sort.Float64s(sorted)
-	i := int(q*float64(len(sorted)) + 0.5)
-	if i >= len(sorted) {
-		i = len(sorted) - 1
-	}
-	if i < 0 {
-		i = 0
-	}
-	return sorted[i]
 }

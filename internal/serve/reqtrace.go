@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
-	"io"
 	"sync"
 
 	"pimzdtree/internal/obs"
@@ -33,12 +31,6 @@ type RequestTraceConfig struct {
 	SlowWallSeconds float64
 	// SlowK bounds the retained slow-request set (<= 0: 16).
 	SlowK int
-}
-
-func (c *RequestTraceConfig) fill() {
-	if c.SlowK <= 0 {
-		c.SlowK = 16
-	}
 }
 
 // RequestRecord is one captured slow request.
@@ -96,13 +88,15 @@ type RequestTracer struct {
 	mu       sync.Mutex
 	seq      uint64
 	observed int64
-	slow     []RequestRecord
+	slow     obs.TopK[RequestRecord] // slots reuse fan-span slices
 }
 
 // NewRequestTracer returns an enabled tracer.
 func NewRequestTracer(cfg RequestTraceConfig) *RequestTracer {
-	cfg.fill()
-	return &RequestTracer{cfg: cfg}
+	if cfg.SlowK <= 0 {
+		cfg.SlowK = 16
+	}
+	return &RequestTracer{cfg: cfg, slow: obs.NewTopK[RequestRecord](cfg.SlowK)}
 }
 
 // Enabled reports whether requests are being captured.
@@ -123,22 +117,12 @@ func (t *RequestTracer) offer(r *Request, wall float64) {
 	if t.cfg.SlowWallSeconds > 0 && wall < t.cfg.SlowWallSeconds {
 		return
 	}
-	minI := -1
-	if len(t.slow) >= t.cfg.SlowK {
-		// Evict the cheapest retained record if the newcomer is slower;
-		// ties keep the incumbent (earlier capture), so a stream of equal
-		// requests settles.
-		minI = 0
-		for i := 1; i < len(t.slow); i++ {
-			if t.slow[i].TotalSeconds < t.slow[minI].TotalSeconds {
-				minI = i
-			}
-		}
-		if wall <= t.slow[minI].TotalSeconds {
-			return
-		}
+	slot := t.slow.Offer(wall, t.seq)
+	if slot == nil {
+		return
 	}
-	rec := RequestRecord{
+	spans := slot.FanSpans
+	*slot = RequestRecord{
 		Seq:          t.seq,
 		ID:           r.ID,
 		Op:           r.Op.String(),
@@ -150,20 +134,13 @@ func (t *RequestTracer) offer(r *Request, wall float64) {
 		TotalSeconds: wall,
 		FanOut:       int(r.fanMax),
 		FanPruned:    int(r.fanPruned),
+		FanSpans:     append(spans[:0], r.fanSpans...),
 	}
 	if r.Resp.Err != nil {
-		rec.Err = r.Resp.Err.Error()
+		slot.Err = r.Resp.Err.Error()
 	}
 	for s := 0; s < NumStages; s++ {
-		rec.StageSeconds[s] = r.stageSeconds(s)
-	}
-	if len(r.fanSpans) > 0 {
-		rec.FanSpans = append([]obs.FanoutSpan(nil), r.fanSpans...)
-	}
-	if minI >= 0 {
-		t.slow[minI] = rec
-	} else {
-		t.slow = append(t.slow, rec)
+		slot.StageSeconds[s] = r.stageSeconds(s)
 	}
 }
 
@@ -177,44 +154,9 @@ func (t *RequestTracer) Snapshot() RequestDump {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	d.Observed = t.observed
-	d.Slow = make([]RequestRecord, len(t.slow))
-	for i, rec := range t.slow {
+	d.Slow = t.slow.Snapshot(func(rec RequestRecord) RequestRecord {
 		rec.FanSpans = append([]obs.FanoutSpan(nil), rec.FanSpans...)
-		d.Slow[i] = rec
-	}
-	sortSlowRequests(d.Slow)
+		return rec
+	})
 	return d
-}
-
-// sortSlowRequests orders records by descending total wall, ties by
-// ascending capture sequence.
-func sortSlowRequests(recs []RequestRecord) {
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0; j-- {
-			a, b := &recs[j-1], &recs[j]
-			if a.TotalSeconds > b.TotalSeconds ||
-				(a.TotalSeconds == b.TotalSeconds && a.Seq < b.Seq) {
-				break
-			}
-			recs[j-1], recs[j] = recs[j], recs[j-1]
-		}
-	}
-}
-
-// WriteJSON writes the dump as indented JSON — the on-disk format
-// `pimzd-trace analyze -requests` reads.
-func (t *RequestTracer) WriteJSON(w io.Writer) error {
-	d := t.Snapshot()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
-}
-
-// ReadRequestDump parses a slow-request JSON dump.
-func ReadRequestDump(r io.Reader) (*RequestDump, error) {
-	var d RequestDump
-	if err := json.NewDecoder(r).Decode(&d); err != nil {
-		return nil, err
-	}
-	return &d, nil
 }

@@ -370,9 +370,8 @@ func TestRequestAnalysisDeterministic(t *testing.T) {
 			{Shard: 0, Queries: 4, Cycles: 1000, Bytes: 64, WallSeconds: 2e-4},
 			{Shard: int(1 + i%3), Queries: 2 + i, Cycles: 2000, Bytes: 128, WallSeconds: 5e-4},
 		}
-		dump.Slow = append(dump.Slow, rec)
+		dump.Slow = append(dump.Slow, rec) // falling totals: slowest first
 	}
-	sortSlowRequests(dump.Slow)
 
 	render := func() []byte {
 		var buf bytes.Buffer

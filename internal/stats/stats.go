@@ -10,25 +10,33 @@ import (
 	"strings"
 )
 
-// Percentile returns the p-th percentile (0..100) of xs using
-// nearest-rank on a sorted copy. It panics on an empty slice.
+// Percentile returns the p-th percentile (0..100) of xs: Quantile at
+// p/100 over a sorted copy. It panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		panic("stats: percentile of empty slice")
 	}
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
+	return Quantile(sorted, p/100)
+}
+
+// Quantile returns the nearest-rank q-quantile (0..1) of an ascending
+// slice: the element at index ⌈q·n⌉−1, clamped to the slice, so q = 0.5
+// of five values is the third. It returns zero for an empty slice. This is
+// the one quantile rule every report in the repository uses.
+func Quantile[T int64 | float64](sorted []T, q float64) T {
+	if len(sorted) == 0 {
+		return 0
 	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
 	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
+	if i >= len(sorted) {
+		i = len(sorted) - 1
 	}
-	return sorted[rank]
+	return sorted[i]
 }
 
 // GeoMean returns the geometric mean of xs (which must all be positive).

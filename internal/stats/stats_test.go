@@ -35,6 +35,41 @@ func TestPercentilePanicsOnEmpty(t *testing.T) {
 	Percentile(nil, 50)
 }
 
+func TestQuantileNearestRank(t *testing.T) {
+	// Inputs are 1..n ascending, so the expected value is the 1-based rank
+	// ⌈q·n⌉.
+	cases := []struct {
+		n    int
+		q    float64
+		want int64
+	}{
+		{1, 0.5, 1}, {1, 0.99, 1}, {1, 0.999, 1},
+		{2, 0.5, 1}, {2, 0.99, 2}, {2, 0.999, 2},
+		{5, 0.5, 3}, {5, 0.99, 5}, {5, 0.999, 5},
+		{1000, 0.5, 500}, {1000, 0.99, 990}, {1000, 0.999, 999},
+	}
+	for _, tc := range cases {
+		ints := make([]int64, tc.n)
+		floats := make([]float64, tc.n)
+		for i := range ints {
+			ints[i] = int64(i + 1)
+			floats[i] = float64(i + 1)
+		}
+		if got := Quantile(ints, tc.q); got != tc.want {
+			t.Errorf("n=%d q=%v: int64 quantile = %d, want %d", tc.n, tc.q, got, tc.want)
+		}
+		if got := Quantile(floats, tc.q); got != float64(tc.want) {
+			t.Errorf("n=%d q=%v: float64 quantile = %v, want %d", tc.n, tc.q, got, tc.want)
+		}
+	}
+	if got := Quantile([]int64(nil), 0.5); got != 0 {
+		t.Errorf("empty int64 quantile = %d, want 0", got)
+	}
+	if got := Quantile([]float64{}, 0.99); got != 0 {
+		t.Errorf("empty float64 quantile = %v, want 0", got)
+	}
+}
+
 func TestGeoMean(t *testing.T) {
 	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
 		t.Fatalf("GeoMean = %f", got)

@@ -174,7 +174,3 @@ func (x *Index) Stats() Stats { return x.tree.Stats() }
 // Thresholds returns the current layer thresholds (ThetaL0, ThetaL1) and
 // chunking factor B (Table 2 of the paper).
 func (x *Index) Thresholds() (thetaL0, thetaL1, b int64) { return x.tree.Thresholds() }
-
-// WriteTrace dumps the per-round BSP execution trace recorded since
-// EnableTrace (see cmd/pimzd-trace for a CLI around this).
-func (x *Index) EnableTrace(limit int) { x.tree.System().EnableTrace(limit) }

@@ -169,18 +169,6 @@ func TestPublicStatsAndThresholds(t *testing.T) {
 	}
 }
 
-func TestPublicTraceEnable(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	idx := New(Options{Dims: 3, Machine: smallMachine()}, randPts(rng, 5000)...)
-	idx.EnableTrace(10)
-	idx.KNN(randPts(rng, 50), 3)
-	// The trace is consumed via the System in internal tooling; here we
-	// only verify enabling it does not disturb results.
-	if idx.Size() != 5000 {
-		t.Fatal("size changed")
-	}
-}
-
 func TestPublicLeafCapOption(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	idx := New(Options{Dims: 3, Machine: smallMachine(), LeafCap: 4}, randPts(rng, 2000)...)

@@ -9,10 +9,14 @@
 //	checkjson -promtext file.txt  # Prometheus text exposition: must parse
 //	                              # and pass the exposition lint (sorted
 //	                              # families, histogram invariants)
-//	checkjson -flight file.json   # flight-recorder dump: format id, ring
-//	                              # ordered by trace, records internally
-//	                              # consistent (non-negative counters,
-//	                              # straggler >= -1, rounds match detail)
+//	checkjson -flight file.json   # capture dump, by its format id:
+//	                              # flight-recorder dump: ring ordered by
+//	                              # trace, records internally consistent
+//	                              # (non-negative counters, straggler >=
+//	                              # -1, rounds match detail); slow-request
+//	                              # dump: slowest first (ties by seq), no
+//	                              # more records than observed, stage
+//	                              # seconds summing to each total
 //	checkjson -slo file.json      # /snapshot/slo dump: format id,
 //	                              # objectives sorted by op, windows in
 //	                              # 1m/5m/1h order, bad <= total, and the
@@ -38,6 +42,7 @@ import (
 
 	"pimzdtree/internal/metrics"
 	"pimzdtree/internal/obs"
+	"pimzdtree/internal/serve"
 )
 
 func main() {
@@ -46,7 +51,7 @@ func main() {
 		jsonl     = flag.String("jsonl", "", "validate a JSONL file line by line")
 		bench     = flag.String("bench", "", "validate a pimzd-bench -bench-json perf report")
 		promtext  = flag.String("promtext", "", "lint a Prometheus text exposition file")
-		flight    = flag.String("flight", "", "validate a flight-recorder dump (pimzd-serve/-bench -flight-out)")
+		flight    = flag.String("flight", "", "validate a flight-recorder or slow-request dump (pimzd-serve -flight-out/-requests-out, pimzd-bench -flight-out)")
 		slo       = flag.String("slo", "", "validate an SLO snapshot (pimzd-serve /snapshot/slo)")
 		diffMode  = flag.Bool("diff", false, "diff two -bench-json reports: checkjson -diff old.json new.json")
 		threshold = flag.Float64("threshold", 10, "with -diff, regression threshold in percent")
@@ -226,19 +231,63 @@ func checkBench(path string) error {
 	return nil
 }
 
+// checkFlight validates a capture dump, dispatching on its format id.
 func checkFlight(path string) error {
-	fd, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer fd.Close()
-	d, err := obs.ReadFlightDump(fd)
-	if err != nil {
+	var head struct {
+		Format string `json:"format"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
 		return err
 	}
-	if d.Format != obs.FlightDumpFormat {
-		return fmt.Errorf("format %q, want %q", d.Format, obs.FlightDumpFormat)
+	switch head.Format {
+	case obs.FlightDumpFormat:
+		var d obs.FlightDump
+		if err := json.Unmarshal(data, &d); err != nil {
+			return err
+		}
+		return checkFlightDump(&d)
+	case serve.RequestDumpFormat:
+		var d serve.RequestDump
+		if err := json.Unmarshal(data, &d); err != nil {
+			return err
+		}
+		return checkRequestDump(&d)
 	}
+	return fmt.Errorf("format %q, want %q or %q", head.Format, obs.FlightDumpFormat, serve.RequestDumpFormat)
+}
+
+// checkRequestDump validates a slow-request dump: the capture bound, the
+// snapshot order, and each record's stage sum.
+func checkRequestDump(d *serve.RequestDump) error {
+	if int64(len(d.Slow)) > d.Observed {
+		return fmt.Errorf("%d slow records exceed %d observed", len(d.Slow), d.Observed)
+	}
+	for i := range d.Slow {
+		r := &d.Slow[i]
+		if i > 0 {
+			p := &d.Slow[i-1]
+			if p.TotalSeconds < r.TotalSeconds || (p.TotalSeconds == r.TotalSeconds && p.Seq >= r.Seq) {
+				return fmt.Errorf("slow[%d]: seq %d (%gs) not after seq %d (%gs) in slowest-first order",
+					i, r.Seq, r.TotalSeconds, p.Seq, p.TotalSeconds)
+			}
+		}
+		sum := 0.0
+		for _, v := range r.StageSeconds {
+			sum += v
+		}
+		if !approxEq(sum, r.TotalSeconds) {
+			return fmt.Errorf("slow[%d]: stages sum to %gs, total %gs", i, sum, r.TotalSeconds)
+		}
+	}
+	return nil
+}
+
+// checkFlightDump validates a flight-recorder dump.
+func checkFlightDump(d *obs.FlightDump) error {
 	if d.Captured < int64(len(d.Ring)) {
 		return fmt.Errorf("captured %d < ring length %d", d.Captured, len(d.Ring))
 	}
